@@ -75,8 +75,10 @@ pub enum SpotVerdict {
 
 /// The full marking result for one submission, computed inside the
 /// `spawn_batch` fan-out. Pure: no shared state, deterministic for a
-/// given source.
-#[derive(Clone, Copy, Debug)]
+/// given `(source, rubric, run_spot)`. That is what lets `run_cell`
+/// compute it once per distinct text and spot-check flag in a cell
+/// and serve every repeat of that text from its per-cell memo.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MarkResult {
     /// The rubric score.
     pub score: MarkScore,

@@ -30,7 +30,23 @@
 //! fingerprint that is bit-identical across reruns *and* worker-pool
 //! sizes, because the model makes every decision sequentially and
 //! parallelism lives only inside pure per-submission closures joined
-//! in index order.
+//! in index order, each distinct text marked once per cell.
+//!
+//! # Each distinct text is marked once per cell
+//!
+//! A generated cohort repeats itself heavily: only ~1.4% of a cell's
+//! submission texts are distinct. Marking is a pure function of
+//! `(source, rubric, run_spot)` and the rubric is fixed for a cell,
+//! so the tick loop keeps a per-cell memo keyed on the exact source
+//! text, with separate entries for lint+score and for the
+//! spot-checked result. Before a marker's fan-out, every item of the
+//! surviving prefix is looked up; only the distinct misses are fanned
+//! out, and their results are published after the whole fan-out has
+//! joined. The ack walk then reads every result from the memo. The
+//! memo lives on the tick-loop thread, so it takes no lock; a killed
+//! tail is never computed, so no partial entry can exist; and its hit
+//! and miss counts depend only on the cohort. It is dropped with the
+//! cell, so a cohort marked again in a new cell is marked in full.
 //!
 //! # Graceful degradation
 //!
@@ -46,7 +62,7 @@ pub mod cohort;
 pub mod ledger;
 pub mod report;
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -58,7 +74,7 @@ use parc_util::rng::{SplitMix64, Xoshiro256};
 use partask::TaskRuntime;
 
 use crate::assessment::AutoMarkRubric;
-use cohort::{generate_tick, mark_submission, shard_for, spot_eligible, SpotVerdict};
+use cohort::{generate_tick, mark_submission, shard_for, spot_eligible, MarkResult, SpotVerdict};
 use ledger::{MarkLedger, ShedCause};
 pub use report::{CellReport, MarkerStats, ShardStats};
 
@@ -213,6 +229,65 @@ impl MarkerGuards {
     }
 }
 
+/// One cell's marking memo: each distinct `(source, run_spot)` is
+/// marked once. Owned by the tick loop, so it needs no lock, and its
+/// counts are a function of the cohort alone.
+#[derive(Default)]
+struct MarkMemo {
+    /// Keyed on the exact source text (no digest, so no collision can
+    /// serve a wrong mark): the lint+score result, then the
+    /// spot-checked one.
+    entries: HashMap<String, [Option<MarkResult>; 2]>,
+    /// Items served from an earlier fan-out or a repeat within one.
+    hits: u64,
+    /// Items computed: one per distinct text and flag.
+    misses: u64,
+}
+
+impl MarkMemo {
+    fn get(&self, source: &str, run_spot: bool) -> Option<MarkResult> {
+        self.entries.get(source).and_then(|slots| slots[usize::from(run_spot)])
+    }
+
+    /// Make a result available for every `(source, run_spot)` item:
+    /// fan the distinct misses out on `rt`, and publish their results
+    /// only once the whole fan-out has joined.
+    fn mark<'a>(
+        &mut self,
+        rt: &TaskRuntime,
+        rubric: &Arc<AutoMarkRubric>,
+        items: impl IntoIterator<Item = (&'a str, bool)>,
+    ) {
+        let mut pending: HashSet<(&str, bool)> = HashSet::new();
+        let mut fresh: Vec<(String, bool)> = Vec::new();
+        for (source, run_spot) in items {
+            if self.get(source, run_spot).is_some() || !pending.insert((source, run_spot)) {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
+                fresh.push((source.to_owned(), run_spot));
+            }
+        }
+        if fresh.is_empty() {
+            return;
+        }
+        let fresh = Arc::new(fresh);
+        let work = Arc::clone(&fresh);
+        let rubric = Arc::clone(rubric);
+        let results = rt
+            .spawn_batch(fresh.len(), move |i| {
+                let (source, run_spot) = &work[i];
+                mark_submission(source, &rubric, *run_spot)
+            })
+            .join();
+        for ((source, run_spot), res) in fresh.iter().zip(results) {
+            let result = res.expect("marking closures neither panic nor cancel");
+            self.entries.entry(source.clone()).or_default()[usize::from(*run_spot)] =
+                Some(result);
+        }
+    }
+}
+
 /// Run one cell — one arrival process crossed with one fault storm —
 /// to completion and return its conservation-checked report.
 ///
@@ -270,6 +345,7 @@ pub fn run_cell(
 
     let total_ticks = cfg.arrival_ticks as usize;
     let rubric = Arc::new(cfg.rubric.clone());
+    let mut memo = MarkMemo::default();
     let mut tick = 0u32;
     loop {
         let phase = storm.phase_at(tick as usize, total_ticks);
@@ -389,32 +465,25 @@ pub fn run_cell(
                 batch.len()
             };
 
-            // Pure parallel fan-out over the surviving prefix.
-            let items: Arc<Vec<(u64, String, bool)>> = Arc::new(
-                batch[..cut]
-                    .iter()
-                    .map(|&id| {
-                        let run_spot =
-                            spot_eligible(spot_seed, id, cfg.spot_every) && !degraded;
-                        (id, sources[id as usize].clone(), run_spot)
-                    })
-                    .collect(),
+            // Pure parallel fan-out over the distinct memo misses of
+            // the surviving prefix.
+            let prefix: Vec<(u64, bool)> = batch[..cut]
+                .iter()
+                .map(|&id| (id, spot_eligible(spot_seed, id, cfg.spot_every) && !degraded))
+                .collect();
+            memo.mark(
+                rt,
+                &rubric,
+                prefix.iter().map(|&(id, run_spot)| (sources[id as usize].as_str(), run_spot)),
             );
-            let rubric = Arc::clone(&rubric);
-            let worker_items = Arc::clone(&items);
-            let results = rt
-                .spawn_batch(items.len(), move |i| {
-                    let (_, source, run_spot) = &worker_items[i];
-                    mark_submission(source, &rubric, *run_spot)
-                })
-                .join();
 
             // Sequential ack walk, index order: this is what makes
             // acks (and the digest) pool-size independent.
             let mut acked = 0u32;
-            for (i, res) in results.into_iter().enumerate() {
-                let (id, _, ran_spot) = items[i];
-                let result = res.expect("marking closures neither panic nor cancel");
+            for &(id, ran_spot) in &prefix {
+                let result = memo
+                    .get(&sources[id as usize], ran_spot)
+                    .expect("every prefix item is published before the ack walk");
                 assert!(ledger.ack(id, m, inc), "prefix acks cannot be stale");
                 acked += 1;
                 marker_stats[m as usize].marked += 1;
@@ -597,6 +666,8 @@ pub fn run_cell(
         students_marked,
         cohort_mean_best,
         mark_digest,
+        memo_hits: memo.hits,
+        memo_misses: memo.misses,
         shards: shard_stats,
         markers: marker_stats,
         latency,
@@ -761,6 +832,52 @@ mod tests {
             "the toggle must be logged: {:?}",
             report.events
         );
+    }
+
+    #[test]
+    fn memo_serves_exactly_what_a_fresh_mark_computes() {
+        let rt = TaskRuntime::builder().workers(2).build();
+        let rubric = Arc::new(AutoMarkRubric::default());
+        let texts: Vec<String> =
+            generate_tick(0x3E30, 0, 5, 10).into_iter().map(|s| s.source).collect();
+        let [a, b, c, d, e] = [0, 1, 2, 3, 4].map(|i| texts[i].as_str());
+        assert_eq!(texts.iter().collect::<HashSet<_>>().len(), 5, "five distinct texts");
+        // Repeats, `a` both with and without a spot-check, and a tail
+        // that a kill cuts off before the fan-out.
+        let batch = [
+            (a, false),
+            (b, false),
+            (a, false),
+            (a, true),
+            (c, true),
+            (b, false),
+            (a, true),
+            (d, false),
+            (e, true),
+        ];
+        let (prefix, tail) = batch.split_at(7);
+        let mut memo = MarkMemo::default();
+        memo.mark(&rt, &rubric, prefix.iter().copied());
+        assert_eq!((memo.hits, memo.misses), (3, 4), "one computation per (text, flag)");
+        for &(source, run_spot) in prefix {
+            assert_eq!(
+                memo.get(source, run_spot),
+                Some(mark_submission(source, &rubric, run_spot)),
+                "spot {run_spot}"
+            );
+        }
+        for &(source, run_spot) in tail {
+            assert_eq!(memo.get(source, run_spot), None, "a killed tail is never computed");
+        }
+        assert_eq!(memo.get(b, true), None, "a plain result never stands in for a spot-check");
+        // The restarted marker's batch: the reclaimed tail is computed
+        // now, the rest is served from the first fan-out.
+        memo.mark(&rt, &rubric, tail.iter().copied().chain([(a, true), (c, false)]));
+        assert_eq!((memo.hits, memo.misses), (4, 7));
+        for (source, run_spot) in tail.iter().copied().chain([(c, false)]) {
+            assert_eq!(memo.get(source, run_spot), Some(mark_submission(source, &rubric, run_spot)));
+        }
+        rt.shutdown();
     }
 
     #[test]

@@ -96,6 +96,14 @@ pub struct CellReport {
     pub cohort_mean_best: f64,
     /// Order-stable digest of every `(id, mark)` ack.
     pub mark_digest: u64,
+    /// Acked submissions whose result the cell's memo already held
+    /// (or a repeat within the same fan-out). Deterministic, but kept
+    /// out of [`CellReport::render_deterministic`]: reusing a mark must
+    /// not move the fingerprint.
+    pub memo_hits: u64,
+    /// Acked submissions whose result was computed: one per distinct
+    /// `(source, run_spot)` in the cell.
+    pub memo_misses: u64,
     /// Per-shard accounting.
     pub shards: Vec<ShardStats>,
     /// Per-marker accounting.
@@ -165,6 +173,13 @@ impl CellReport {
             format!(
                 "spot eligible {} != run {} + degraded {} — degradation must be quantified",
                 self.spot_eligible, self.spot_run, self.spot_degraded
+            ),
+        );
+        check(
+            self.memo_hits + self.memo_misses == self.marked,
+            format!(
+                "memo hits {} + misses {} != marked {}",
+                self.memo_hits, self.memo_misses, self.marked
             ),
         );
         check(self.spot_missed == 0, format!("{} spot-checks missed findings", self.spot_missed));

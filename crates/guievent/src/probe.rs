@@ -90,7 +90,10 @@ impl Probe {
             .spawn(move || {
                 let trace = pacer_gui.shared.trace.clone();
                 let pid = pacer_gui.shared.pid;
-                while !pacer_stop.load(Ordering::Acquire) {
+                // Post before checking `stop`: a run that finishes
+                // before this thread is first scheduled still gets one
+                // sample, so `finish` never returns an empty report.
+                loop {
                     let posted = Instant::now();
                     let samples = Arc::clone(&pacer_samples);
                     let trace = trace.clone();
@@ -107,6 +110,9 @@ impl Probe {
                             },
                         );
                     });
+                    if pacer_stop.load(Ordering::Acquire) {
+                        break;
+                    }
                     thread::sleep(interval);
                 }
             })
@@ -119,7 +125,8 @@ impl Probe {
         }
     }
 
-    /// Stop the pacer, flush the event queue and return the report.
+    /// Stop the pacer, flush the event queue and return the report,
+    /// which holds at least one sample.
     #[must_use]
     pub fn finish(mut self) -> ProbeReport {
         self.stop.store(true, Ordering::Release);
@@ -161,6 +168,17 @@ mod tests {
             "median {} ms too high for an idle EDT",
             report.summary().median()
         );
+        gui.shutdown();
+    }
+
+    #[test]
+    fn finish_right_after_start_still_has_a_sample() {
+        let gui = EventLoop::spawn();
+        for _ in 0..20 {
+            let report = Probe::start(gui.handle(), Duration::from_millis(1)).finish();
+            assert!(!report.is_empty(), "a probe run must measure at least once");
+            let _ = report.summary();
+        }
         gui.shutdown();
     }
 

@@ -22,11 +22,12 @@
 //!   8-worker fingerprint bit-for-bit.
 //!
 //! Artifacts: first argument (default `BENCH_marking.json`) — the
-//! full per-cell accounting; every field except `elapsed_ms` is
-//! bit-identical across same-seed runs and pool sizes. Second
-//! argument: the seed (default `0xEA751`). A chrome trace of the
-//! first cell's stages lands next to the bench file as
-//! `TRACE_marking.json`.
+//! full per-cell accounting, including how many acks the cell's mark
+//! memo served (`memo_hits`) and computed (`memo_misses`); every
+//! field except `elapsed_ms` is bit-identical across same-seed runs
+//! and pool sizes. Second argument: the seed (default `0xEA751`). A
+//! chrome trace of the first cell's stages lands next to the bench
+//! file as `TRACE_marking.json`.
 //!
 //! Run with: `cargo run --release --example mark_storm`
 
@@ -242,6 +243,8 @@ fn main() {
                 "      \"p99_ms\": {:.6},\n",
                 "      \"p999_ms\": {:.6},\n",
                 "      \"mark_digest\": \"{:#018x}\",\n",
+                "      \"memo_hits\": {},\n",
+                "      \"memo_misses\": {},\n",
                 "      \"fingerprint\": \"{:#018x}\",\n",
                 "      \"invariants_ok\": {},\n",
                 "      \"elapsed_ms\": {:.3}\n",
@@ -276,6 +279,8 @@ fn main() {
             cell.latency.p99(),
             cell.latency.p999(),
             cell.mark_digest,
+            cell.memo_hits,
+            cell.memo_misses,
             cell.fingerprint(),
             cell.violations().is_empty(),
             cell.elapsed_ms,

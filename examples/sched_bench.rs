@@ -24,7 +24,8 @@
 //! the computed batch-vs-baseline speedups. The CI determinism gate
 //! reruns this and diffs everything except the wall-clock fields.
 //!
-//! Run with: `cargo run --release --example sched_bench`
+//! Run with: `cargo run --release --example sched_bench [OUTPUT.json]`;
+//! an output path that starts with `-` is rejected with a usage line.
 
 use std::fmt::Write as _;
 use std::thread;
@@ -149,6 +150,12 @@ fn main() {
     let bench_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_runtime.json".to_string());
+    if bench_path.starts_with('-') {
+        // A flag where the output path belongs would otherwise become
+        // a file named after the flag.
+        eprintln!("usage: sched_bench [OUTPUT.json]   (default BENCH_runtime.json)");
+        std::process::exit(2);
+    }
 
     println!("== E-SCHED: fan-out throughput, {TASKS} tasks per run ==\n");
 

@@ -78,6 +78,24 @@ fn kills_mid_batch_are_exactly_once() {
 }
 
 #[test]
+fn golden_storm_cell_fingerprint_and_mark_digest_are_pinned() {
+    let cfg = small_cfg(0x2BAD);
+    let arrival = ArrivalProcess::PoissonSteady { rate: 90.0 };
+    let storm = FaultStorm::burst(0x2BAD);
+    for workers in [1usize, 3] {
+        let report = run(workers, &arrival, &storm, &cfg);
+        assert!(report.violations().is_empty(), "violations: {:?}", report.violations());
+        // The cell must exercise every path a reused mark could take:
+        // mid-batch kills, re-marked tails and explorer spot-checks.
+        assert!(report.kills > 0 && report.redone > 0 && report.spot_run > 0);
+        // Pinned to what this cell produced before marks were memoised:
+        // a memo that served a wrong or partial result would move them.
+        assert_eq!(report.fingerprint(), 0x8b35_de55_a08a_952c, "{workers} workers");
+        assert_eq!(report.mark_digest, 0xaeef_00a5_6b9a_ae7a, "{workers} workers");
+    }
+}
+
+#[test]
 fn fingerprint_is_identical_across_1_3_8_worker_pools_and_reruns() {
     let cfg = small_cfg(0x3F1D);
     let arrival = ArrivalProcess::Diurnal { base: 60.0, amplitude: 36.0, period_ticks: 7 };
@@ -94,7 +112,16 @@ fn fingerprint_is_identical_across_1_3_8_worker_pools_and_reruns() {
             "pool size {workers} leaked into the model"
         );
         assert_eq!(base.render_deterministic(), wide.render_deterministic());
+        // Memo counts live outside the fingerprint but are just as
+        // deterministic: they depend on the cohort, not on timing.
+        assert_eq!(
+            (base.memo_hits, base.memo_misses),
+            (wide.memo_hits, wide.memo_misses),
+            "pool size {workers} changed memo counts"
+        );
     }
+    assert_eq!((base.memo_hits, base.memo_misses), (rerun.memo_hits, rerun.memo_misses));
+    assert!(base.memo_hits > 0 && base.memo_misses > 0, "a generated cohort repeats itself");
 }
 
 #[test]
